@@ -195,14 +195,14 @@ func GroupMatrixADHDCtx(ctx context.Context, scans []*ADHDScan, opt ConnectomeOp
 // Gallery is a persistent fingerprint database with a ranked top-k
 // query engine: enroll the de-anonymized subjects once (Enroll,
 // EnrollMatrix), save the z-scored fingerprints to disk (Save,
-// WriteFile), and attack anonymous probes incrementally (TopK,
-// QueryAll) without recomputing fingerprints or materializing the full
-// known×anonymous similarity matrix. Scores are bit-identical to
-// SimilarityMatrix; DenseSimilarity is the exact dense fallback.
+// WriteFile), and attack anonymous probes incrementally (TopKCtx,
+// QueryAllCtx) without recomputing fingerprints or materializing the
+// full known×anonymous similarity matrix. Scores are bit-identical to
+// SimilarityMatrix; DenseSimilarityCtx is the exact dense fallback.
 type Gallery = gallery.Gallery
 
 // GalleryCandidate is one ranked identification hypothesis returned by
-// Gallery.TopK/QueryAll.
+// Gallery.TopKCtx/QueryAllCtx.
 type GalleryCandidate = gallery.Candidate
 
 // GalleryFormatVersion is the gallery file format version this build

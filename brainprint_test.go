@@ -8,6 +8,7 @@ package brainprint_test
 //lint:file-ignore SA1019 the deprecated wrappers are exercised on purpose
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -338,7 +339,7 @@ func TestFacadeGalleryFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GroupMatrix anon: %v", err)
 	}
-	ranked, err := reopened.QueryAll(anon, 3)
+	ranked, err := reopened.QueryAllCtx(context.Background(), anon, 3, 0)
 	if err != nil {
 		t.Fatalf("QueryAll: %v", err)
 	}

@@ -25,6 +25,11 @@ func TestServeFlagErrors(t *testing.T) {
 	if err := runServe([]string{"-db", "x.bpg", "-bogus"}, &out); err == nil {
 		t.Error("expected flag parse error")
 	}
+	// The int8 scan was removed: naming it fails at startup, before any
+	// database is opened.
+	if err := runServe([]string{"-db", "x.bpg", "-scan", "int8"}, &out); err == nil || !strings.Contains(err.Error(), "unknown scan precision") {
+		t.Errorf("runServe(-scan int8) = %v, want an unknown-precision error", err)
+	}
 }
 
 // TestServeBindFailure drives the happy path all the way to the

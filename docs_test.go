@@ -26,7 +26,7 @@ func ExampleNewGallery() {
 	_ = g.Enroll("carol", []float64{1, 1, 5, 1})
 
 	// A noisy observation of bob re-identifies bob.
-	top, err := g.TopK([]float64{1.2, 4.8, 0.9, 1.1}, 2)
+	top, err := g.TopKCtx(context.Background(), []float64{1.2, 4.8, 0.9, 1.1}, 2, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -80,8 +80,8 @@ func ExampleAttacker_IdentifyBatch() {
 	// probe 1 -> alice
 }
 
-// ExampleOpenGalleryStore shards a gallery across four files with int8
-// quantization, persists it, and reopens it for querying. A plain
+// ExampleOpenGalleryStore shards a gallery across four files, persists
+// it, and reopens it for querying at the default exact scan. A plain
 // single-file gallery path opens through the same call.
 func ExampleOpenGalleryStore() {
 	g := brainprint.NewGallery(4)
@@ -92,7 +92,7 @@ func ExampleOpenGalleryStore() {
 
 	dir, _ := os.MkdirTemp("", "store")
 	defer os.RemoveAll(dir)
-	store, err := brainprint.NewGalleryStore(g, 4, true)
+	store, err := brainprint.NewGalleryStore(g, 4)
 	if err != nil {
 		panic(err)
 	}
@@ -104,13 +104,13 @@ func ExampleOpenGalleryStore() {
 	if err != nil {
 		panic(err)
 	}
-	top, err := reopened.TopK([]float64{0.9, 1.1, 5.3, 0.8}, 1)
+	top, err := reopened.TopKCtx(context.Background(), []float64{0.9, 1.1, 5.3, 0.8}, 1, 0)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("shards: %d, quantized: %v, identified: %s\n",
-		reopened.Shards(), reopened.Quantized(), top[0].ID)
-	// Output: shards: 4, quantized: true, identified: carol
+	fmt.Printf("shards: %d, scan: %v, identified: %s\n",
+		reopened.Shards(), reopened.Precision(), top[0].ID)
+	// Output: shards: 4, scan: float64, identified: carol
 }
 
 // ExampleOpenGalleryStore_partial shows the degraded-open contract: a
@@ -122,14 +122,14 @@ func ExampleOpenGalleryStore_partial() {
 	_ = g.Enroll("bob", []float64{1, 5, 1, 1})
 	dir, _ := os.MkdirTemp("", "store")
 	defer os.RemoveAll(dir)
-	store, _ := brainprint.NewGalleryStore(g, 2, false)
+	store, _ := brainprint.NewGalleryStore(g, 2)
 	_ = store.WriteFiles(filepath.Join(dir, "cohort.bpm"))
 	// Lose the shard holding bob.
 	_ = os.Remove(filepath.Join(dir, fmt.Sprintf("cohort.s%03d.bpg", brainprint.RouteGalleryID("bob", 2))))
 
 	degraded, err := brainprint.OpenGalleryStore(filepath.Join(dir, "cohort.bpm"))
 	fmt.Println("partial:", errors.Is(err, brainprint.ErrGalleryPartial))
-	top, _ := degraded.TopK([]float64{4.7, 1.3, 0.8, 1.2}, 1)
+	top, _ := degraded.TopKCtx(context.Background(), []float64{4.7, 1.3, 0.8, 1.2}, 1, 0)
 	fmt.Println("still identified:", top[0].ID)
 	// Output:
 	// partial: true
@@ -144,7 +144,7 @@ func ExampleWithScanPrecision() {
 	g := brainprint.NewGallery(4)
 	_ = g.Enroll("alice", []float64{5, 1, 1, 1})
 	_ = g.Enroll("bob", []float64{1, 5, 1, 1})
-	store, err := brainprint.NewGalleryStore(g, 2, false)
+	store, err := brainprint.NewGalleryStore(g, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -203,7 +203,7 @@ func ExampleCreateLiveGallery() {
 		panic(err)
 	}
 	defer reopened.Close()
-	top, err := reopened.TopK([]float64{1.2, 4.8, 0.9, 1.1}, 1)
+	top, err := reopened.TopKCtx(context.Background(), []float64{1.2, 4.8, 0.9, 1.1}, 1, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -18,7 +18,7 @@
 //		attacker.WithAssignment(true))
 //
 // All identification scores are bit-identical to the stateless
-// pipeline (gallery.QueryAll / match.SimilarityMatrix) at any
+// pipeline (gallery.QueryAllCtx / match.SimilarityMatrix) at any
 // parallelism setting; the session adds lifecycle, not arithmetic.
 package attacker
 
@@ -149,18 +149,16 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // WithScanPrecision selects the engine's candidate-scan precision
-// (gallery.ScanFloat64, ScanFloat32, or ScanInt8). Reduced precisions
-// only steer candidate SELECTION — every returned score is the exact
-// float64 expression, bit-identical to the default scan (see DESIGN.md
-// §8). The precision is applied once, after all options, to whichever
+// (gallery.ScanFloat64 or ScanFloat32). The float32 scan only steers
+// candidate SELECTION — every returned score is the exact float64
+// expression, bit-identical to the default scan (see DESIGN.md §8).
+// The precision is applied once, after all options, to whichever
 // engine the session ends up with; engines without the knob (the
 // single-file gallery) accept only the default ScanFloat64.
 func WithScanPrecision(p gallery.ScanPrecision) Option {
 	return func(a *Attacker) error {
-		switch p {
-		case gallery.ScanFloat64, gallery.ScanFloat32, gallery.ScanInt8:
-		default:
-			return fmt.Errorf("attacker: WithScanPrecision(%d): unknown precision", uint8(p))
+		if err := p.Check(); err != nil {
+			return fmt.Errorf("attacker: WithScanPrecision: %w", err)
 		}
 		a.prec, a.precSet = p, true
 		return nil
@@ -309,7 +307,7 @@ func (a *Attacker) IdentifyTopK(ctx context.Context, probe []float64, k int) ([]
 // BatchResult is the outcome of one batch identification.
 type BatchResult struct {
 	// Ranked holds, per probe column, the topK candidates best first.
-	// Scores are bit-identical to Gallery.QueryAll and to the rows of
+	// Scores are bit-identical to Gallery.QueryAllCtx and to the rows of
 	// match.SimilarityMatrix at any parallelism setting.
 	Ranked [][]gallery.Candidate
 	// Assignment is the optimal one-to-one probe→subject matching
@@ -433,7 +431,7 @@ func (a *Attacker) IdentifyStream(ctx context.Context, probes <-chan Probe) <-ch
 						r.Err = ErrNoGallery
 					} else {
 						// The outer fan-out owns the cores; each probe
-						// sweeps serially, like Gallery.QueryAll.
+						// sweeps serially.
 						r.Candidates, r.Err = a.gallery.TopKCtx(ctx, p.Vector, a.topK, 1)
 					}
 					select {

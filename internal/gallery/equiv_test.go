@@ -2,6 +2,7 @@ package gallery
 
 import (
 	"bytes"
+	"context"
 	"sort"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 
 	for _, par := range []int{1, 0, 3} {
 		// Batched query path.
-		ranked, err := loaded.QueryAllP(anon, subjects, par)
+		ranked, err := loaded.QueryAllCtx(context.Background(), anon, subjects, par)
 		if err != nil {
 			t.Fatalf("QueryAllP(par=%d): %v", par, err)
 		}
@@ -67,7 +68,7 @@ func TestRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 			}
 		}
 		// Single-probe path must agree with the batch.
-		single, err := loaded.TopKP(anon.Col(0), subjects, par)
+		single, err := loaded.TopKCtx(context.Background(), anon.Col(0), subjects, par)
 		if err != nil {
 			t.Fatalf("TopKP(par=%d): %v", par, err)
 		}
@@ -77,7 +78,7 @@ func TestRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 			}
 		}
 		// Dense fallback: the full matrix, bit for bit.
-		dense, err := loaded.DenseSimilarity(anon, par)
+		dense, err := loaded.DenseSimilarityCtx(context.Background(), anon, par)
 		if err != nil {
 			t.Fatalf("DenseSimilarity(par=%d): %v", par, err)
 		}
@@ -118,13 +119,13 @@ func TestTopKPrefixStable(t *testing.T) {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
 	probe := randomGroup(22, features, 1).Col(0)
-	full, err := g.TopKP(probe, subjects, 1)
+	full, err := g.TopKCtx(context.Background(), probe, subjects, 1)
 	if err != nil {
 		t.Fatalf("TopKP full: %v", err)
 	}
 	for _, k := range []int{1, 3, 17} {
 		for _, par := range []int{1, 0, 5} {
-			top, err := g.TopKP(probe, k, par)
+			top, err := g.TopKCtx(context.Background(), probe, k, par)
 			if err != nil {
 				t.Fatalf("TopKP(k=%d, par=%d): %v", k, par, err)
 			}

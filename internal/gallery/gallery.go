@@ -8,13 +8,13 @@
 // materializes the full known×anonymous similarity matrix; this package
 // stores z-scored fingerprints in a versioned, checksummed binary file
 // (codec.go) and answers ranked top-k queries with a blocked parallel
-// sweep (query.go) instead of a dense O(n²) matrix.
+// sweep (sweep.go) instead of a dense O(n²) matrix.
 //
 // Scores are bit-identical to match.SimilarityMatrix: enrollment
 // z-scores each fingerprint through the same stats.ZScore code path
 // match uses on its columns, queries z-score each probe once the same
 // way, and every score is the identical linalg.Dot(zk, za)/features
-// expression. DenseSimilarity exposes the exact-equivalence fallback;
+// expression. DenseSimilarityCtx exposes the exact-equivalence fallback;
 // the property test in equiv_test.go pins both paths to match.
 package gallery
 
@@ -139,7 +139,8 @@ type MutableStats struct {
 // so a query is one dot product per enrolled subject.
 //
 // A Gallery is not safe for concurrent mutation; concurrent queries
-// (TopK, QueryAll, DenseSimilarity) against a fixed gallery are safe.
+// (TopKCtx, QueryAllCtx, DenseSimilarityCtx) against a fixed gallery
+// are safe.
 type Gallery struct {
 	features     int
 	featureIndex []int // optional raw-space row indices; nil = identity

@@ -1,6 +1,7 @@
 package gallery
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -39,7 +40,7 @@ func TestEnrollAndSelfQuery(t *testing.T) {
 	}
 	// A subject's own fingerprint must be its top-1 with correlation 1.
 	for j := 0; j < subjects; j++ {
-		top, err := g.TopK(group.Col(j), 3)
+		top, err := g.TopKCtx(context.Background(), group.Col(j), 3, 0)
 		if err != nil {
 			t.Fatalf("TopK: %v", err)
 		}
@@ -61,16 +62,16 @@ func TestEnrollAndSelfQuery(t *testing.T) {
 func TestTopKClampAndErrors(t *testing.T) {
 	group := randomGroup(2, 9, 4)
 	g := New(9)
-	if _, err := g.TopK(group.Col(0), 1); err == nil {
+	if _, err := g.TopKCtx(context.Background(), group.Col(0), 1, 0); err == nil {
 		t.Error("expected error querying an empty gallery")
 	}
 	if err := g.EnrollMatrix(subjectIDs(4), group); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	if _, err := g.TopK(group.Col(0), 0); err == nil {
+	if _, err := g.TopKCtx(context.Background(), group.Col(0), 0, 0); err == nil {
 		t.Error("expected error for k=0")
 	}
-	top, err := g.TopK(group.Col(0), 99)
+	top, err := g.TopKCtx(context.Background(), group.Col(0), 99, 0)
 	if err != nil {
 		t.Fatalf("TopK with oversized k: %v", err)
 	}
@@ -103,11 +104,11 @@ func TestFeatureIndexProjection(t *testing.T) {
 		t.Fatalf("EnrollMatrix pre-selected: %v", err)
 	}
 	probes := randomGroup(4, raw, 3)
-	got, err := g.QueryAll(probes, subjects)
+	got, err := g.QueryAllCtx(context.Background(), probes, subjects, 0)
 	if err != nil {
 		t.Fatalf("QueryAll raw probes: %v", err)
 	}
-	want, err := pre.QueryAll(probes.SelectRows(index), subjects)
+	want, err := pre.QueryAllCtx(context.Background(), probes.SelectRows(index), subjects, 0)
 	if err != nil {
 		t.Fatalf("QueryAll selected probes: %v", err)
 	}
@@ -120,7 +121,7 @@ func TestFeatureIndexProjection(t *testing.T) {
 	}
 	// A probe that covers neither the gallery space nor the raw indices
 	// is a typed dimension error.
-	if _, err := g.TopK(make([]float64, 10), 2); err == nil {
+	if _, err := g.TopKCtx(context.Background(), make([]float64, 10), 2, 0); err == nil {
 		t.Error("expected dimension error for a short raw probe")
 	}
 }

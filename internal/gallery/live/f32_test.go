@@ -11,8 +11,9 @@ import (
 // TestLiveFloat32PrecisionSurvivesCompaction pins the live engine's
 // precision knob: a float32 base scan answers bit-identically to the
 // exact cold reference (the rescore restores exact scores), the
-// setting persists across a compaction's generation swap, and int8 is
-// rejected (live bases carry no quantized sidecar).
+// setting persists across a compaction's generation swap, and a value
+// outside the defined precisions (2 was the removed int8 scan) is
+// rejected.
 func TestLiveFloat32PrecisionSurvivesCompaction(t *testing.T) {
 	const features, cohort, k = 19, 80, 7
 	group := randomGroup(71, features, cohort)
@@ -44,8 +45,8 @@ func TestLiveFloat32PrecisionSurvivesCompaction(t *testing.T) {
 		}
 	}
 
-	if err := e.SetPrecision(gallery.ScanInt8); err == nil {
-		t.Fatal("SetPrecision(int8) on a live engine succeeded")
+	if err := e.SetPrecision(gallery.ScanPrecision(2)); err == nil {
+		t.Fatal("SetPrecision(ScanPrecision(2)) on a live engine succeeded")
 	}
 	if err := e.SetPrecision(gallery.ScanFloat32); err != nil {
 		t.Fatalf("SetPrecision(float32): %v", err)

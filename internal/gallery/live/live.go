@@ -682,16 +682,16 @@ func (e *Engine) Index(id string) int {
 // package for the float32 selection + exact rescore contract — scores
 // stay bit-identical either way). The overlay always scans exact. The
 // setting survives compactions: each fresh base is built at the
-// engine's precision. ScanInt8 is rejected: live bases carry no
-// quantized sidecar.
+// engine's precision. A value outside the defined precisions is
+// rejected.
 func (e *Engine) SetPrecision(p gallery.ScanPrecision) error {
+	if err := p.Check(); err != nil {
+		return err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return ErrClosed
-	}
-	if p == gallery.ScanInt8 {
-		return fmt.Errorf("live: %v scans need a quantized sidecar, which live bases do not carry", p)
 	}
 	if e.base != nil {
 		if err := e.base.SetPrecision(p); err != nil {

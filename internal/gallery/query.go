@@ -2,6 +2,7 @@ package gallery
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"brainprint/internal/linalg"
@@ -30,29 +31,26 @@ func better(a, b Candidate) bool {
 	return a.Score > b.Score || (a.Score == b.Score && a.Index < b.Index)
 }
 
-// TopK ranks the k enrolled subjects most correlated with the probe,
-// best first, using the default worker count. The probe may be a
-// gallery-space vector (len == Features()) or a raw vector when the
-// gallery carries a feature index; it is projected and z-scored once,
-// never mutated. k larger than the gallery is clamped.
-func (g *Gallery) TopK(probe []float64, k int) ([]Candidate, error) {
-	return g.TopKP(probe, k, 0)
+// OutranksByID reports whether a outranks b: higher score first, ties
+// broken by the lexicographically smaller subject ID. It is the order
+// of the sharded store and the live engine: unlike the single-file
+// gallery's index tiebreak, it is invariant under resharding and
+// compaction — enumeration indices change when records move, IDs
+// never do.
+func OutranksByID(a, b Candidate) bool {
+	return a.Score > b.Score || (a.Score == b.Score && a.ID < b.ID)
 }
 
-// TopKP is TopK with an explicit parallelism knob (0 = all cores,
-// 1 = serial, n = n workers). The gallery sweep is blocked: each worker
-// chunk keeps a local ranked list of at most k candidates, and partial
-// lists merge in ascending chunk order, so the result is identical at
-// any setting.
-func (g *Gallery) TopKP(probe []float64, k, parallelism int) ([]Candidate, error) {
-	return g.TopKCtx(context.Background(), probe, k, parallelism)
-}
-
-// TopKCtx is TopKP under a context: the gallery sweep aborts between
-// chunks once ctx is cancelled and returns ctx.Err(). On success the
-// ranking is bit-identical to TopK/TopKP at any parallelism setting.
+// TopKCtx ranks the k enrolled subjects most correlated with the probe,
+// best first. The probe may be a gallery-space vector (len ==
+// Features()) or a raw vector when the gallery carries a feature
+// index; it is projected and z-scored once, never mutated. k larger
+// than the gallery is clamped. parallelism is the worker count (0 =
+// all cores, 1 = serial); the ranking is identical at any setting,
+// and a cancelled ctx aborts the sweep between record ranges with
+// ctx.Err().
 func (g *Gallery) TopKCtx(ctx context.Context, probe []float64, k, parallelism int) ([]Candidate, error) {
-	k, err := g.clampK(k)
+	k, err := ClampK(g.Len(), k)
 	if err != nil {
 		return nil, err
 	}
@@ -61,151 +59,72 @@ func (g *Gallery) TopKCtx(ctx context.Context, probe []float64, k, parallelism i
 		return nil, err
 	}
 	stats.ZScore(zp)
-	return g.topK(ctx, zp, k, parallelism)
+	lists, err := g.sweep(ctx, [][]float64{zp}, k, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return lists[0], nil
 }
 
-// QueryAll answers a batch of probes — the columns of a features×probes
-// matrix — returning one ranked top-k list per probe. See QueryAllP.
-func (g *Gallery) QueryAll(probes *linalg.Matrix, k int) ([][]Candidate, error) {
-	return g.QueryAllP(probes, k, 0)
-}
-
-// QueryAllP is QueryAll with an explicit parallelism knob. Probes are
-// z-scored once up front (through the same match.ZScoreColumns path the
-// dense attack uses), then the batch fans out one probe per worker with
-// a serial inner sweep — the outer loop owns the cores. Results are
-// identical at any setting.
-func (g *Gallery) QueryAllP(probes *linalg.Matrix, k, parallelism int) ([][]Candidate, error) {
-	return g.QueryAllCtx(context.Background(), probes, k, parallelism)
-}
-
-// QueryAllCtx is QueryAllP under a context: the batch aborts between
-// probes once ctx is cancelled and returns ctx.Err(). On success the
-// rankings are bit-identical to QueryAll/QueryAllP at any setting.
+// QueryAllCtx answers a batch of probes — the columns of a
+// features×probes matrix — returning one ranked top-k list per probe.
+// Probes are z-scored once up front (through the same
+// match.ZScoreColumns path the dense attack uses); each record range
+// is then scanned once for the whole batch through the probe-tiled
+// kernel. Rankings are identical at any parallelism setting.
 func (g *Gallery) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, parallelism int) ([][]Candidate, error) {
-	k, err := g.clampK(k)
+	k, err := ClampK(g.Len(), k)
 	if err != nil {
 		return nil, err
 	}
-	zcols, err := g.prepProbes(probes, parallelism)
+	zcols, err := PrepProbes(probes, g.features, g.featureIndex, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	return g.queryAllZ(ctx, zcols, k, parallelism)
+	return g.sweep(ctx, zcols, k, parallelism)
 }
 
-// queryAllZ is the batched multi-probe sweep over z-scored gallery-space
-// probes: workers claim record ranges (not probes), and each range is
-// scanned once through the probe-tiled batch kernel for every probe —
-// one pass over the records per four probes instead of one pass per
-// probe. Per-probe partial lists merge across ranges by tournament.
-// Record ranges shrink when more workers are available; the result is
-// unaffected because per-(record, probe) scores do not depend on
-// chunking and the selection order is a strict total order.
-func (g *Gallery) queryAllZ(ctx context.Context, zcols [][]float64, k, parallelism int) ([][]Candidate, error) {
+// sweep ranks the gallery against z-scored gallery-space probes through
+// the blocked scan core. Each score is the linalg.Dot(fingerprint,
+// zp)·(1/F) expression bit for bit (the blocked kernel preserves
+// per-record accumulation order), so results stay bit-identical to
+// DenseSimilarityCtx.
+func (g *Gallery) sweep(ctx context.Context, zps [][]float64, k, parallelism int) ([][]Candidate, error) {
+	return SweepRanges(ctx, parallelism, g.scanRanges(len(zps), parallelism), zps, 1/float64(g.features), nil, k, better)
+}
+
+// scanRanges splits the gallery into lane-aligned record ranges of
+// about 256k multiply-adds each. A batch of probes multiplies the work
+// per range, so its ranges shrink when that would leave workers idle;
+// a single probe keeps the full grain, where a fan-out over a small
+// gallery costs more than it saves.
+func (g *Gallery) scanRanges(probes, parallelism int) []ScanRange {
 	bk := g.Blocked()
-	inv := 1 / float64(g.features)
 	n := g.Len()
 	grain := 1 + (1<<18)/g.features
-	if w := parallel.Workers(parallelism); w > 1 {
-		if per := 1 + n/(4*w); per < grain {
-			grain = per
-		}
+	if w := parallel.Workers(parallelism); w > 1 && probes > 1 {
+		grain = min(grain, 1+n/(4*w))
 	}
 	grain = alignLanes(grain)
-	units := (n + grain - 1) / grain
-	partials := make([][][]Candidate, units) // [unit][probe]
-	err := parallel.ForCtx(ctx, parallelism, units, 1, func(ulo, uhi int) error {
-		for u := ulo; u < uhi; u++ {
-			lo := u * grain
-			partials[u] = g.scanSelectBatch(bk, lo, min(lo+grain, n), zcols, inv, k)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	ranges := make([]ScanRange, 0, (n+grain-1)/grain)
+	for lo := 0; lo < n; lo += grain {
+		ranges = append(ranges, ScanRange{Blocked: bk, Lo: lo, Hi: min(lo+grain, n), IDs: g.ids})
 	}
-	out := make([][]Candidate, len(zcols))
-	lists := make([][]Candidate, units)
-	for p := range out {
-		for u := range partials {
-			lists[u] = partials[u][p]
-		}
-		top := RankMergeLists(lists, k, better)
-		for i := range top {
-			top[i].ID = g.ids[top[i].Index]
-		}
-		out[p] = top
-	}
-	return out, nil
+	return ranges
 }
 
-// scanBatchStripe is the record width of one batched kernel pass: small
-// enough that the per-probe dot buffers of a large probe batch stay
-// cache-resident alongside the streamed records.
-const scanBatchStripe = 256
-
-// scanSelectBatch scores records [lo, hi) against every probe through
-// the probe-tiled blocked kernel and selects, per probe, the top k
-// under the index-tiebreak order. lo must sit on a lane-block boundary.
-// Candidate IDs are left unset for the caller to fill after the final
-// merge.
-func (g *Gallery) scanSelectBatch(bk *Blocked, lo, hi int, zps [][]float64, inv float64, k int) [][]Candidate {
-	rankers := make([]Ranker, len(zps))
-	for p := range rankers {
-		rankers[p] = *NewRanker(k, better)
-	}
-	stripe := min(scanBatchStripe, alignLanes(hi-lo))
-	buf := make([]float64, len(zps)*stripe)
-	outs := make([][]float64, len(zps))
-	for p := range outs {
-		outs[p] = buf[p*stripe : (p+1)*stripe]
-	}
-	for slo := lo; slo < hi; slo += stripe {
-		shi := min(slo+stripe, hi)
-		nd := alignLanes(shi - slo)
-		for p := range outs {
-			clear(outs[p][:nd])
-		}
-		bk.DotsF64Batch(slo, shi, zps, outs)
-		for p := range rankers {
-			r := &rankers[p]
-			d := outs[p]
-			thr, full := r.Threshold()
-			for i := slo; i < shi; i++ {
-				sc := d[i-slo] * inv
-				if full && (sc < thr.Score || (sc == thr.Score && i > thr.Index)) {
-					continue
-				}
-				r.Offer(Candidate{Index: i, Score: sc})
-				thr, full = r.Threshold()
-			}
-		}
-	}
-	lists := make([][]Candidate, len(zps))
-	for p := range rankers {
-		lists[p] = rankers[p].Ranked()
-	}
-	return lists
-}
-
-// DenseSimilarity materializes the full gallery×probes similarity
+// DenseSimilarityCtx materializes the full gallery×probes similarity
 // matrix — the exact-equivalence fallback path. Entry (i, j) is
 // bit-identical to match.SimilarityMatrix(known, probes) at (i, j) when
 // the gallery was enrolled from the columns of known: enrollment stored
 // the same z-scored columns, probes normalize through the same code
-// path, and each entry is the same Dot·(1/features) expression.
-func (g *Gallery) DenseSimilarity(probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
-	return g.DenseSimilarityCtx(context.Background(), probes, parallelism)
-}
-
-// DenseSimilarityCtx is DenseSimilarity under a context: the row sweep
-// aborts between chunks once ctx is cancelled.
+// path, and each entry is the same Dot·(1/features) expression. The
+// row sweep aborts between chunks once ctx is cancelled.
 func (g *Gallery) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
 	if g.Len() == 0 {
-		return nil, fmt.Errorf("gallery: empty gallery")
+		return nil, errEmpty
 	}
-	zcols, err := g.prepProbes(probes, parallelism)
+	zcols, err := PrepProbes(probes, g.features, g.featureIndex, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -228,99 +147,47 @@ func (g *Gallery) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix,
 	return out, nil
 }
 
-// clampK validates the gallery and k, clamping k to the gallery size.
-func (g *Gallery) clampK(k int) (int, error) {
-	if g.Len() == 0 {
-		return 0, fmt.Errorf("gallery: empty gallery")
+// errEmpty is the query error of an engine with no enrolled records.
+var errEmpty = errors.New("gallery: empty gallery")
+
+// ClampK validates a query's k against an engine holding n records,
+// clamping k to n. Every engine's query surface calls it first.
+func ClampK(n, k int) (int, error) {
+	if n == 0 {
+		return 0, errEmpty
 	}
 	if k <= 0 {
 		return 0, fmt.Errorf("gallery: k=%d must be positive", k)
 	}
-	return min(k, g.Len()), nil
+	return min(k, n), nil
 }
 
-// scanStripe is the record width of one kernel pass in the top-k scan:
-// the dot-product buffer it implies (8 KiB of float64) stays cache-hot
-// between the kernel and the selection loop that consumes it.
-const scanStripe = 1024
-
-// topK is the blocked sweep over a z-scored, gallery-space probe: score
-// every enrolled subject through the blocked 4-lane kernel, keep the
-// best k with a bounded heap. Chunks produce local ranked lists;
-// parallel.ReduceCtx folds them in chunk order, so the ranking is
-// identical at any parallelism and a cancelled ctx aborts between
-// chunks. Each score is still the linalg.Dot(fingerprint, zp)·(1/F)
-// expression bit for bit (the blocked kernel preserves per-record
-// accumulation order), so results stay bit-identical to the pre-blocked
-// sweep and to DenseSimilarity.
-func (g *Gallery) topK(ctx context.Context, zp []float64, k, parallelism int) ([]Candidate, error) {
-	bk := g.Blocked()
-	inv := 1 / float64(g.features)
-	grain := alignLanes(1 + (1<<18)/g.features) // ≈256k multiplies per chunk, whole lane blocks
-	lists, err := parallel.ReduceCtx(ctx, parallelism, g.Len(), grain, nil,
-		func(lo, hi int) []Candidate {
-			return g.scanSelect(bk, lo, hi, zp, inv, k)
-		},
-		func(acc, part []Candidate) []Candidate { return mergeRanked(acc, part, k) },
-	)
-	if err != nil {
-		return nil, err
-	}
-	for i := range lists {
-		lists[i].ID = g.ids[lists[i].Index]
-	}
-	return lists, nil
-}
-
-// scanSelect scores records [lo, hi) through the blocked kernel in
-// stripes and selects the top k under the index-tiebreak order. lo must
-// sit on a lane-block boundary. Candidate IDs are left unset — the
-// caller fills them for the k survivors only, keeping ID bookkeeping
-// off the hot loop.
-func (g *Gallery) scanSelect(bk *Blocked, lo, hi int, zp []float64, inv float64, k int) []Candidate {
-	r := NewRanker(k, better)
-	dots := make([]float64, scanStripe)
-	for slo := lo; slo < hi; slo += scanStripe {
-		shi := min(slo+scanStripe, hi)
-		d := dots[:alignLanes(shi-slo)]
-		clear(d)
-		bk.DotsF64(slo, shi, zp, d)
-		thr, full := r.Threshold()
-		for i := slo; i < shi; i++ {
-			sc := d[i-slo] * inv
-			if full && (sc < thr.Score || (sc == thr.Score && i > thr.Index)) {
-				continue
-			}
-			r.Offer(Candidate{Index: i, Score: sc})
-			thr, full = r.Threshold()
-		}
-	}
-	return r.Ranked()
-}
-
-// prepProbes converts a features×probes matrix into z-scored
-// gallery-space probe vectors, projecting through the feature index
-// when the probes are raw-space.
-func (g *Gallery) prepProbes(probes *linalg.Matrix, parallelism int) ([][]float64, error) {
+// PrepProbes converts a features×probes matrix into z-scored
+// gallery-space probe vectors for an engine of the given
+// dimensionality, projecting through index (nil = none) when the
+// probes are raw-space. Every engine normalizes batches through this
+// one path — the same match.ZScoreColumns the dense attack uses — so
+// batch scores stay bit-identical across engines.
+func PrepProbes(probes *linalg.Matrix, features int, index []int, parallelism int) ([][]float64, error) {
 	f, m := probes.Dims()
 	if m == 0 {
 		return nil, fmt.Errorf("gallery: no probe columns")
 	}
 	gal := probes
-	if f != g.features {
-		if g.featureIndex == nil {
-			return nil, fmt.Errorf("%w: probes have %d features, gallery has %d", ErrDimMismatch, f, g.features)
+	if f != features {
+		if index == nil {
+			return nil, fmt.Errorf("%w: probes have %d features, gallery has %d", ErrDimMismatch, f, features)
 		}
-		for _, idx := range g.featureIndex {
+		for _, idx := range index {
 			if idx < 0 || idx >= f {
 				return nil, fmt.Errorf("%w: feature index %d outside raw probes with %d features", ErrDimMismatch, idx, f)
 			}
 		}
-		gal = probes.SelectRows(g.featureIndex)
+		gal = probes.SelectRows(index)
 	}
 	z := match.ZScoreColumns(gal, parallelism)
 	cols := make([][]float64, m)
-	parallel.ForWith(parallelism, m, 1+1024/g.features, func(lo, hi int) {
+	parallel.ForWith(parallelism, m, 1+1024/features, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			cols[j] = z.Col(j)
 		}
@@ -328,18 +195,9 @@ func (g *Gallery) prepProbes(probes *linalg.Matrix, parallelism int) ([][]float6
 	return cols, nil
 }
 
-// mergeRanked merges two descending-ranked lists, keeping at most k.
-// Equal-score ties resolve by index through better, so the merge is
-// order-deterministic.
-func mergeRanked(a, b []Candidate, k int) []Candidate {
-	return RankMerge(a, b, k, better)
-}
-
 // RankInsert inserts c into a descending-ranked list bounded at k
-// under the strict total order outranks (true when a outranks b). It
-// is the single implementation of bounded ranked insertion shared by
-// this package (index tiebreak) and the sharded store (subject-ID
-// tiebreak); the list is mutated and returned.
+// under the strict total order outranks (true when a outranks b); the
+// list is mutated and returned.
 func RankInsert(list []Candidate, c Candidate, k int, outranks func(a, b Candidate) bool) []Candidate {
 	lo, hi := 0, len(list)
 	for lo < hi {
@@ -359,28 +217,4 @@ func RankInsert(list []Candidate, c Candidate, k int, outranks func(a, b Candida
 	copy(list[lo+1:], list[lo:])
 	list[lo] = c
 	return list
-}
-
-// RankMerge merges two lists descending-ranked under outranks, keeping
-// at most k. A strict total order makes the merge deterministic
-// regardless of how candidates were partitioned into a and b.
-func RankMerge(a, b []Candidate, k int, outranks func(a, b Candidate) bool) []Candidate {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Candidate, 0, min(len(a)+len(b), k))
-	i, j := 0, 0
-	for len(out) < k && (i < len(a) || j < len(b)) {
-		if j >= len(b) || (i < len(a) && outranks(a[i], b[j])) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	return out
 }

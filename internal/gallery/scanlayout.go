@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the scan-optimized fingerprint layout behind every hot
-// TopK sweep. The naive layout — one []float64 slice per record —
+// top-k sweep (sweep.go). The naive layout — one []float64 slice per record —
 // makes the inner loop chase a pointer per subject and leaves the
 // compiler a single serial dependency chain per dot product. The
 // blocked layout stores records lane-interleaved in groups of
@@ -47,9 +47,9 @@ const scanTileF = 512
 
 // ScanPrecision selects the arithmetic of the gallery scan pass on
 // engines that support it (the sharded store). Whatever the scan
-// precision, every returned score is exact: the reduced-precision
-// passes only select candidates, which are rescored with the full
-// float64 expression before anything is returned.
+// precision, every returned score is exact: the reduced-precision pass
+// only selects candidates, which are rescored with the full float64
+// expression before anything is returned.
 type ScanPrecision uint8
 
 const (
@@ -60,37 +60,38 @@ const (
 	// memory traffic), selects the leading candidates, and rescores
 	// them in exact float64.
 	ScanFloat32
-	// ScanInt8 scans int8 scalar-quantized fingerprints (an eighth of
-	// the memory traffic), selects the leading candidates, and
-	// rescores them in exact float64. Requires stored quantization
-	// parameters.
-	ScanInt8
 )
 
 // String renders the precision as its CLI/API spelling.
 func (p ScanPrecision) String() string {
 	switch p {
+	case ScanFloat64:
+		return "float64"
 	case ScanFloat32:
 		return "float32"
-	case ScanInt8:
-		return "int8"
-	default:
-		return "float64"
 	}
+	return fmt.Sprintf("ScanPrecision(%d)", uint8(p))
 }
 
-// ParseScanPrecision parses a CLI/API precision name ("float64",
-// "float32", or "int8").
+// Check rejects a precision value outside the defined constants, so a
+// setter never stores a mode no scan path implements.
+func (p ScanPrecision) Check() error {
+	if p > ScanFloat32 {
+		return fmt.Errorf("gallery: unknown scan precision %v (want float64 or float32)", p)
+	}
+	return nil
+}
+
+// ParseScanPrecision parses a CLI/API precision name ("float64" or
+// "float32").
 func ParseScanPrecision(s string) (ScanPrecision, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "float64", "f64", "exact", "":
 		return ScanFloat64, nil
 	case "float32", "f32":
 		return ScanFloat32, nil
-	case "int8", "quantized":
-		return ScanInt8, nil
 	}
-	return ScanFloat64, fmt.Errorf("gallery: unknown scan precision %q (want float64, float32, or int8)", s)
+	return ScanFloat64, fmt.Errorf("gallery: unknown scan precision %q (want float64 or float32)", s)
 }
 
 // PrecisionSetter is the optional knob surface of engines with a

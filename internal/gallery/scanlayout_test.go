@@ -127,21 +127,27 @@ func TestParseScanPrecision(t *testing.T) {
 	}{
 		{"float64", ScanFloat64}, {"F64", ScanFloat64}, {"exact", ScanFloat64}, {"", ScanFloat64},
 		{"float32", ScanFloat32}, {" f32 ", ScanFloat32},
-		{"int8", ScanInt8}, {"quantized", ScanInt8},
 	} {
 		got, err := ParseScanPrecision(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseScanPrecision(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParseScanPrecision("float16"); err == nil {
-		t.Fatal("ParseScanPrecision(float16) succeeded, want error")
-	}
-	for _, p := range []ScanPrecision{ScanFloat64, ScanFloat32, ScanInt8} {
-		back, err := ParseScanPrecision(p.String())
-		if err != nil || back != p {
-			t.Fatalf("round-trip %v → %q → %v, %v", p, p.String(), back, err)
+	for _, bad := range []string{"float16", "int8", "quantized"} {
+		if _, err := ParseScanPrecision(bad); err == nil {
+			t.Fatalf("ParseScanPrecision(%q) succeeded, want error", bad)
 		}
+	}
+	for _, p := range []ScanPrecision{ScanFloat64, ScanFloat32} {
+		back, err := ParseScanPrecision(p.String())
+		if err != nil || back != p || p.Check() != nil {
+			t.Fatalf("round-trip %v → %q → %v, %v (check %v)", p, p.String(), back, err, p.Check())
+		}
+	}
+	// A value outside the constants (2 was the removed int8 scan) fails
+	// Check and renders as itself, not as a real precision.
+	if p := ScanPrecision(2); p.Check() == nil || p.String() != "ScanPrecision(2)" {
+		t.Fatalf("ScanPrecision(2): Check() = %v, String() = %q", p.Check(), p.String())
 	}
 }
 
@@ -151,9 +157,7 @@ func TestParseScanPrecision(t *testing.T) {
 func TestRankerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	byIndex := better
-	byID := func(a, b Candidate) bool {
-		return a.Score > b.Score || (a.Score == b.Score && a.ID < b.ID)
-	}
+	byID := OutranksByID
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)
 		k := 1 + rng.Intn(12)

@@ -17,12 +17,12 @@ import (
 // lists of the best nprobe cells — sub-linear candidate selection —
 // while scoring stays exactly what the full sweep computes: the
 // float64 path scores candidates with linalg.Dot over the contiguous
-// per-record fingerprints, and the float32/int8 paths select a
+// per-record fingerprints, and the float32 path selects a
 // rescoreDepth(k) pool that is rescored with the exact float64
-// expression, the same discipline as the linear reduced-precision
-// sweeps. The index therefore changes WHICH records can be returned
-// (recall, measured by the CI gate), never the score of any record
-// that is returned. Because each shard's posting lists partition its
+// expression, the same discipline as the linear float32 sweep. The
+// index therefore changes WHICH records can be returned (recall,
+// measured by the CI gate), never the score of any record that is
+// returned. Because each shard's posting lists partition its
 // local index space, nprobe ≥ Cells() scans every record exactly once
 // and the result is bit-identical to the exact sweep — the
 // equivalence matrix pins this at several shard counts and
@@ -120,6 +120,9 @@ func (s *Store) SetANNProbe(nprobe int) error {
 	return nil
 }
 
+// annActive reports whether queries scan through the IVF index.
+func (s *Store) annActive() bool { return s.ann != nil && s.nprobe > 0 }
+
 // loadANN loads the database's index sidecar if one exists. A missing
 // sidecar is simply no index; a sidecar that fails to decode is a
 // loud error (corruption must not be masked); a sidecar that decodes
@@ -164,43 +167,33 @@ func (s *Store) annMatches(x *ivf.Index) bool {
 // scan the probed posting lists per shard under the active precision,
 // and merge per-shard rankings by tournament (one shared ranker in
 // the serial path, carrying the selection threshold across shards).
-// The reduced precisions select a rescoreDepth(k) pool that is
-// rescored exactly, so returned scores are bit-identical to the dense
-// path whatever the precision.
+// The float32 path selects a rescoreDepth(k) pool that is rescored
+// exactly, so returned scores are bit-identical to the dense path
+// whatever the precision.
 func (s *Store) topKANN(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
 	cells := s.ann.RankCells(zp, s.nprobe)
 	depth := k
-	if s.prec != gallery.ScanFloat64 {
-		depth = rescoreDepth(k, s.total)
-	}
 	var zp32 []float32
-	var scaled []float64
-	var offsetDot, pnorm float64
-	switch s.prec {
-	case gallery.ScanFloat32:
+	if s.prec == gallery.ScanFloat32 {
+		depth = rescoreDepth(k, s.total)
 		zp32 = gallery.ToF32(zp)
-	case gallery.ScanInt8:
-		scaled, offsetDot, pnorm = s.quant.probeQuantTerms(zp)
 	}
 	inv := 1 / float64(s.features)
 
 	scanShard := func(si int, r *gallery.Ranker) {
-		switch s.prec {
-		case gallery.ScanInt8:
-			s.scanANNShardQuant(si, cells, scaled, offsetDot, pnorm, r, skip)
-		case gallery.ScanFloat32:
+		if zp32 != nil {
 			s.scanANNShardF32(si, cells, zp32, inv, r, skip)
-		default:
+		} else {
 			s.scanANNShardExact(si, cells, zp, inv, r, skip)
 		}
 	}
 
 	var pool []gallery.Candidate
-	if serialScan(parallelism) {
+	if parallel.Workers(parallelism) <= 1 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := gallery.NewRanker(depth, better)
+		r := gallery.NewRanker(depth, gallery.OutranksByID)
 		for si := range s.galleries {
 			scanShard(si, r)
 		}
@@ -209,7 +202,7 @@ func (s *Store) topKANN(ctx context.Context, zp []float64, k, parallelism int, s
 		partials := make([][]gallery.Candidate, len(s.galleries))
 		err := parallel.ForCtx(ctx, parallelism, len(s.galleries), 1, func(lo, hi int) error {
 			for si := lo; si < hi; si++ {
-				r := gallery.NewRanker(depth, better)
+				r := gallery.NewRanker(depth, gallery.OutranksByID)
 				scanShard(si, r)
 				partials[si] = r.Ranked()
 			}
@@ -218,9 +211,9 @@ func (s *Store) topKANN(ctx context.Context, zp []float64, k, parallelism int, s
 		if err != nil {
 			return nil, err
 		}
-		pool = gallery.RankMergeLists(partials, depth, better)
+		pool = gallery.RankMergeLists(partials, depth, gallery.OutranksByID)
 	}
-	if s.prec == gallery.ScanFloat64 {
+	if zp32 == nil {
 		return pool, nil // scores are already the exact expression
 	}
 	return s.rescore(pool, zp, k), nil
@@ -277,7 +270,7 @@ func (s *Store) scanANNShardExact(si int, cells []int, zp []float64, inv float64
 				continue
 			}
 			cand := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(cand, thr) {
+			if full && !gallery.OutranksByID(cand, thr) {
 				continue
 			}
 			r.Offer(cand)
@@ -332,38 +325,7 @@ func (s *Store) scanANNShardF32(si int, cells []int, zp32 []float32, inv float64
 				continue
 			}
 			cand := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(cand, thr) {
-				continue
-			}
-			r.Offer(cand)
-			thr, full = r.Threshold()
-		}
-	}
-}
-
-// scanANNShardQuant scans one shard's probed posting lists against
-// the precomputed int8 probe terms, offering approximate cosines to
-// the depth-bounded pool ranker.
-func (s *Store) scanANNShardQuant(si int, cells []int, scaled []float64, offsetDot, pnorm float64, r *gallery.Ranker, skip []bool) {
-	g := s.galleries[si]
-	if g == nil {
-		return
-	}
-	base := s.bases[si]
-	qv, qn := s.qvecs[si], s.qnorms[si]
-	thr, full := r.Threshold()
-	for _, c := range cells {
-		for _, li := range s.ann.Postings(si, c) {
-			i := int(li)
-			if skip != nil && skip[base+i] {
-				continue
-			}
-			sc := approxScore(qv[i*s.features:(i+1)*s.features], scaled, offsetDot, qn[i], pnorm)
-			if full && sc < thr.Score {
-				continue
-			}
-			cand := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(cand, thr) {
+			if full && !gallery.OutranksByID(cand, thr) {
 				continue
 			}
 			r.Offer(cand)

@@ -10,7 +10,7 @@ import (
 	"brainprint/internal/match"
 )
 
-// BenchmarkShardTopK pins the six ways to attack a probe batch against
+// BenchmarkShardTopK pins the five ways to attack a probe batch against
 // galleries of 1k, 10k, 100k, 500k, and 1M synthetic subjects:
 //
 //	dense      match.SimilarityMatrix over the raw groups (recomputes
@@ -18,11 +18,10 @@ import (
 //	single     single-file gallery top-k (the PR 2 engine)
 //	sharded    8-shard store, exact blocked scan
 //	f32        8-shard store, float32 blocked scan + exact rescore
-//	quantized  8-shard store, int8 approximate scan + exact rescore
 //	ivf        8-shard store, IVF coarse index at the default nprobe,
 //	           exact scan within the probed cells
 //
-// All six return identical top-1 subjects; sharded, f32, and quantized
+// All five return identical top-1 subjects; sharded and f32
 // additionally return bit-identical scores to single (the equivalence
 // tests pin this), and ivf returns exact scores for whatever it
 // returns (the recall gate pins its candidate quality). The JSON
@@ -43,7 +42,7 @@ func BenchmarkShardTopK(b *testing.B) {
 		if err := g.EnrollMatrix(ids, known); err != nil {
 			b.Fatalf("EnrollMatrix: %v", err)
 		}
-		s, err := FromGallery(g, 8, true)
+		s, err := FromGallery(g, 8, false)
 		if err != nil {
 			b.Fatalf("FromGallery: %v", err)
 		}
@@ -69,7 +68,7 @@ func BenchmarkShardTopK(b *testing.B) {
 		b.Run("single/"+scale, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ranked, err := g.QueryAll(anon, k)
+				ranked, err := g.QueryAllCtx(context.Background(), anon, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -79,7 +78,7 @@ func BenchmarkShardTopK(b *testing.B) {
 			}
 		})
 		b.Run("sharded/"+scale, func(b *testing.B) {
-			if err := s.SetQuantized(false); err != nil {
+			if err := s.SetPrecision(gallery.ScanFloat64); err != nil {
 				b.Fatal(err)
 			}
 			if err := s.SetANNProbe(0); err != nil {
@@ -87,7 +86,7 @@ func BenchmarkShardTopK(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
+				ranked, err := s.QueryAllCtx(context.Background(), anon, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -103,25 +102,7 @@ func BenchmarkShardTopK(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer() // first call builds the float32 layout image
 			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ranked) != probes {
-					b.Fatal("short result")
-				}
-			}
-		})
-		b.Run("quantized/"+scale, func(b *testing.B) {
-			if err := s.SetQuantized(true); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.SetANNProbe(0); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
+				ranked, err := s.QueryAllCtx(context.Background(), anon, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -131,7 +112,7 @@ func BenchmarkShardTopK(b *testing.B) {
 			}
 		})
 		b.Run("ivf/"+scale, func(b *testing.B) {
-			if err := s.SetQuantized(false); err != nil {
+			if err := s.SetPrecision(gallery.ScanFloat64); err != nil {
 				b.Fatal(err)
 			}
 			if err := s.SetANNProbe(ivf.DefaultNProbe); err != nil {
@@ -139,7 +120,7 @@ func BenchmarkShardTopK(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
+				ranked, err := s.QueryAllCtx(context.Background(), anon, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -159,8 +140,7 @@ func BenchmarkShardTopK(b *testing.B) {
 // scale where the exact scan's linear cost becomes the bottleneck and
 // the IVF coarse index must win by ≥5× (the CI ivf speedup gate holds
 // that line). Only the sub-linear contenders run here: the exact
-// 8-shard blocked scan as the reference, the int8 approximate scan,
-// and the IVF scan at the default nprobe (16 of 512 trained cells,
+// 8-shard blocked scan as the reference and the IVF scan at the default nprobe (16 of 512 trained cells,
 // ~3% of records actually scored, plus the exact rescore). A separate
 // function so filtered runs of BenchmarkShardTopK skip the ~minute of
 // 1M enrollment + index training.
@@ -176,7 +156,7 @@ func BenchmarkShardTopK1M(b *testing.B) {
 	if err := g.EnrollMatrix(ids, known); err != nil {
 		b.Fatalf("EnrollMatrix: %v", err)
 	}
-	s, err := FromGallery(g, 8, true)
+	s, err := FromGallery(g, 8, false)
 	if err != nil {
 		b.Fatalf("FromGallery: %v", err)
 	}
@@ -191,7 +171,7 @@ func BenchmarkShardTopK1M(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
+				ranked, err := s.QueryAllCtx(context.Background(), anon, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -201,29 +181,13 @@ func BenchmarkShardTopK1M(b *testing.B) {
 			}
 		})
 	}
-	run("sharded", func() error {
-		if err := s.SetQuantized(false); err != nil {
-			return err
-		}
-		return s.SetANNProbe(0)
-	})
-	run("quantized", func() error {
-		if err := s.SetQuantized(true); err != nil {
-			return err
-		}
-		return s.SetANNProbe(0)
-	})
-	run("ivf", func() error {
-		if err := s.SetQuantized(false); err != nil {
-			return err
-		}
-		return s.SetANNProbe(ivf.DefaultNProbe)
-	})
+	run("sharded", func() error { return s.SetANNProbe(0) })
+	run("ivf", func() error { return s.SetANNProbe(ivf.DefaultNProbe) })
 }
 
 // BenchmarkShardOpen measures cold-start deserialization of a sharded
 // store — manifest decode, per-shard gallery load, whole-file CRC
-// verification, and int8 quantization table construction.
+// verification, and the blocked-layout build.
 func BenchmarkShardOpen(b *testing.B) {
 	const features, subjects = 100, 10_000
 	ids := make([]string, subjects)
@@ -234,7 +198,7 @@ func BenchmarkShardOpen(b *testing.B) {
 	if err := g.EnrollMatrix(ids, randomGroup(7, features, subjects)); err != nil {
 		b.Fatalf("EnrollMatrix: %v", err)
 	}
-	s, err := FromGallery(g, 8, true)
+	s, err := FromGallery(g, 8, false)
 	if err != nil {
 		b.Fatalf("FromGallery: %v", err)
 	}

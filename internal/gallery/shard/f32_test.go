@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -23,7 +24,7 @@ func TestFloat32RescoreExactAcrossShardsAndParallelism(t *testing.T) {
 	if err := g.EnrollMatrix(subjectIDs(subjects), known); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	wantRanked, err := g.QueryAllP(anon, k, 1)
+	wantRanked, err := g.QueryAllCtx(context.Background(), anon, k, 1)
 	if err != nil {
 		t.Fatalf("gallery QueryAll: %v", err)
 	}
@@ -40,7 +41,7 @@ func TestFloat32RescoreExactAcrossShardsAndParallelism(t *testing.T) {
 		}
 		for _, par := range []int{1, 0, 3} {
 			name := fmt.Sprintf("shards=%d par=%d", shards, par)
-			ranked, err := s.QueryAllP(anon, k, par)
+			ranked, err := s.QueryAllCtx(context.Background(), anon, k, par)
 			if err != nil {
 				t.Fatalf("%s: QueryAll: %v", name, err)
 			}
@@ -60,7 +61,7 @@ func TestFloat32RescoreExactAcrossShardsAndParallelism(t *testing.T) {
 				}
 			}
 			// Single-probe float32 path agrees with the batch.
-			single, err := s.TopKP(anon.Col(0), k, par)
+			single, err := s.TopKCtx(context.Background(), anon.Col(0), k, par)
 			if err != nil {
 				t.Fatalf("%s: TopK: %v", name, err)
 			}
@@ -141,7 +142,7 @@ func TestFloat32AdversarialOrderCorrectedByRescore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FromGallery(%d): %v", shards, err)
 		}
-		exact, err := s.TopKP(probe, 2, 0)
+		exact, err := s.TopKCtx(context.Background(), probe, 2, 0)
 		if err != nil {
 			t.Fatalf("exact TopK: %v", err)
 		}
@@ -152,7 +153,7 @@ func TestFloat32AdversarialOrderCorrectedByRescore(t *testing.T) {
 			t.Fatalf("SetPrecision(float32): %v", err)
 		}
 		for _, par := range []int{1, 0, 3} {
-			got, err := s.TopKP(probe, 2, par)
+			got, err := s.TopKCtx(context.Background(), probe, 2, par)
 			if err != nil {
 				t.Fatalf("shards=%d par=%d: float32 TopK: %v", shards, par, err)
 			}
@@ -166,38 +167,25 @@ func TestFloat32AdversarialOrderCorrectedByRescore(t *testing.T) {
 	}
 }
 
-// TestSetPrecisionValidation covers the precision knob's error paths:
-// int8 needs quantization parameters, and the quantized-era wrappers
-// stay consistent with the new surface.
+// TestSetPrecisionValidation covers the precision knob's error path:
+// a value outside the defined precisions — 2 was the removed int8
+// scan — is rejected and leaves the active precision untouched.
 func TestSetPrecisionValidation(t *testing.T) {
 	g := buildGallery(t, 91, 16, 40)
 	s, err := FromGallery(g, 2, false)
 	if err != nil {
 		t.Fatalf("FromGallery: %v", err)
 	}
-	if err := s.SetPrecision(gallery.ScanInt8); err == nil {
-		t.Fatal("SetPrecision(int8) on an unquantized store succeeded")
-	}
 	if err := s.SetPrecision(gallery.ScanFloat32); err != nil {
 		t.Fatalf("SetPrecision(float32): %v", err)
 	}
-	if s.Quantized() {
-		t.Fatal("Quantized() true after SetPrecision(float32)")
+	if err := s.SetPrecision(gallery.ScanPrecision(2)); err == nil {
+		t.Fatal("SetPrecision(ScanPrecision(2)) succeeded")
+	}
+	if s.Precision() != gallery.ScanFloat32 {
+		t.Fatalf("Precision() = %v after a rejected SetPrecision, want float32", s.Precision())
 	}
 	if err := s.SetPrecision(gallery.ScanFloat64); err != nil {
 		t.Fatalf("SetPrecision(float64): %v", err)
-	}
-	sq, err := FromGallery(g, 2, true)
-	if err != nil {
-		t.Fatalf("FromGallery(quantized): %v", err)
-	}
-	if !sq.Quantized() || sq.Precision() != gallery.ScanInt8 {
-		t.Fatalf("quantized store: Quantized()=%v Precision()=%v, want int8", sq.Quantized(), sq.Precision())
-	}
-	if err := sq.SetQuantized(false); err != nil {
-		t.Fatalf("SetQuantized(false): %v", err)
-	}
-	if sq.Precision() != gallery.ScanFloat64 {
-		t.Fatalf("Precision() = %v after SetQuantized(false), want float64", sq.Precision())
 	}
 }

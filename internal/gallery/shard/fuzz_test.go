@@ -5,17 +5,12 @@ import (
 	"testing"
 )
 
-// fuzzSeedManifest renders a valid manifest to seed the corpus.
-func fuzzSeedManifest(tb testing.TB, features int, index []int, quant bool, shards int) []byte {
+// fuzzSeedManifest renders a valid manifest to seed the corpus. The
+// legacy int8-parameter seed the encoder can no longer produce lives in
+// testdata/fuzz/FuzzDecodeManifest/quant_params.
+func fuzzSeedManifest(tb testing.TB, features int, index []int, shards int) []byte {
 	tb.Helper()
 	m := &Manifest{Features: features, FeatureIndex: index}
-	if quant {
-		m.Quant = &Quant{Scale: make([]float64, features), Offset: make([]float64, features)}
-		for i := range m.Quant.Scale {
-			m.Quant.Scale[i] = 0.125 * float64(i+1)
-			m.Quant.Offset[i] = -0.5 + float64(i)
-		}
-	}
 	for i := 0; i < shards; i++ {
 		m.Shards = append(m.Shards, Meta{
 			Name: "x.s00" + string(rune('0'+i)) + ".bpg", Records: 3 + i, Features: features,
@@ -33,9 +28,9 @@ func fuzzSeedManifest(tb testing.TB, features int, index []int, quant bool, shar
 // decoder: no panics, allocation bounded by the data actually present,
 // and any successfully decoded manifest must re-encode cleanly.
 func FuzzDecodeManifest(f *testing.F) {
-	plain := fuzzSeedManifest(f, 5, nil, false, 2)
+	plain := fuzzSeedManifest(f, 5, nil, 2)
 	f.Add(plain)
-	f.Add(fuzzSeedManifest(f, 3, []int{9, 2, 4}, true, 4))
+	f.Add(fuzzSeedManifest(f, 3, []int{9, 2, 4}, 4))
 	f.Add(plain[:15])                // torn header
 	f.Add(plain[:len(plain)-7])      // torn entry
 	f.Add([]byte("BPSHMAN\x00\x01")) // magic then garbage

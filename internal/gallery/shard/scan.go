@@ -8,54 +8,47 @@ import (
 	"brainprint/internal/parallel"
 )
 
-// The scan planner. Earlier versions swept the GLOBAL index space
-// [0, Len()) and re-derived (shard, local) coordinates per record —
-// locate() bookkeeping on every step of the hot loop, and the reason
-// BENCH_pr4.json showed the sharded store trailing the single-file
-// gallery. The planner now splits each loaded shard into contiguous,
-// lane-aligned scan units at construction time; workers claim whole
-// units, each unit scans one shard's blocked layout with zero
-// per-record bookkeeping, and per-unit bounded-heap rankings merge by
-// tournament (gallery.RankMergeLists) under the (score desc, ID asc)
-// strict total order. When only one worker would run, the sweep skips
-// the fan-out entirely: units feed one shared ranker set in order, so
-// the selection threshold carries across shard boundaries and scratch
-// is allocated once — the same work a single-file scan does. Either
-// way the result is the unique global top-k whatever the unit
-// boundaries, worker count, or shard count — the determinism contract
-// is unchanged, only the bookkeeping is gone.
+// The scan planner. Each loaded shard is split into contiguous,
+// lane-aligned scan units at construction time; the gallery package's
+// scan core (gallery.SweepRanges) streams each unit through one shard's
+// blocked layout with zero per-record bookkeeping, one shared ranker
+// set in the serial path and per-unit rankings merged by tournament
+// under workers, always under the (score desc, ID asc) strict total
+// order. The result is the unique global top-k whatever the unit
+// boundaries, worker count, or shard count.
 
-// scanStripeRecords is the record width of one single-probe kernel
-// pass within a unit (dot buffer: 8 KiB of float64).
-const scanStripeRecords = 1024
+const (
+	// rescoreMinDepth floors the exact-rescore candidate pool so small
+	// k still rescans a meaningful margin.
+	rescoreMinDepth = 32
 
-// scanBatchRecords is the record width of one batched kernel pass: the
-// per-probe dot buffers of a whole probe batch stay cache-resident
-// alongside the streamed records.
-const scanBatchRecords = 256
+	// rescoreFactor scales the exact-rescore pool with k.
+	rescoreFactor = 4
+)
 
-// scanUnit is one contiguous, lane-aligned range [lo, hi) of shard
-// si's local index space — the unit of work a scan worker claims.
-type scanUnit struct {
-	si     int
-	lo, hi int
+// rescoreDepth returns how many reduced-precision candidates are
+// rescored exactly for a top-k query.
+func rescoreDepth(k, total int) int {
+	return min(max(rescoreFactor*k, rescoreMinDepth), total)
 }
 
-// planUnits splits every loaded shard into scan units of roughly
-// 256k multiply-adds each, rounded to whole lane blocks so a unit
-// never splits a blocked-layout lane group. The plan depends only on
-// the shard record counts and dimensionality, never on the query or
-// worker count.
-func planUnits(galleries []*gallery.Gallery, features int) []scanUnit {
+// planUnits splits every loaded shard into scan units of roughly 256k
+// multiply-adds each, rounded to whole lane blocks so a unit never
+// splits a blocked-layout lane group. The plan depends only on the
+// shard record counts and dimensionality, never on the query or worker
+// count.
+func planUnits(galleries []*gallery.Gallery, bases []int, features int) []gallery.ScanRange {
 	grain := 1 + (1<<18)/features
 	grain = (grain + gallery.ScanLanes - 1) / gallery.ScanLanes * gallery.ScanLanes
-	var units []scanUnit
+	var units []gallery.ScanRange
 	for si, g := range galleries {
 		if g == nil {
 			continue
 		}
 		for lo := 0; lo < g.Len(); lo += grain {
-			units = append(units, scanUnit{si: si, lo: lo, hi: min(lo+grain, g.Len())})
+			units = append(units, gallery.ScanRange{
+				Blocked: g.Blocked(), Lo: lo, Hi: min(lo+grain, g.Len()), Base: bases[si], IDs: g.IDs(),
+			})
 		}
 	}
 	return units
@@ -71,503 +64,70 @@ func planUnits(galleries []*gallery.Gallery, features int) []scanUnit {
 // is the caller's responsibility to clamp (at most the number of
 // unmasked records).
 func (s *Store) TopKZMasked(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
-	return s.topKZMasked(ctx, zp, k, parallelism, skip)
+	if s.annActive() {
+		return s.topKANN(ctx, zp, k, parallelism, skip)
+	}
+	lists, err := s.sweep(ctx, [][]float64{zp}, k, parallelism, skip)
+	if err != nil {
+		return nil, err
+	}
+	return lists[0], nil
 }
 
 // QueryAllZMasked is TopKZMasked over a batch of z-scored gallery-space
 // probes, one ranked list per probe, scanned through the batched
 // kernels.
 func (s *Store) QueryAllZMasked(ctx context.Context, zps [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
-	return s.queryAllZMasked(ctx, zps, k, parallelism, skip)
-}
-
-// topKZMasked is the precision dispatcher shared by the public query
-// surface and the live engine's masked base scan: zp must already be a
-// z-scored gallery-space probe; skip (nil for none) excludes global
-// indices from the result.
-func (s *Store) topKZMasked(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
-	if s.ann != nil && s.nprobe > 0 {
-		return s.topKANN(ctx, zp, k, parallelism, skip)
+	if s.annActive() {
+		return s.queryAllANN(ctx, zps, k, parallelism, skip)
 	}
-	switch s.prec {
-	case gallery.ScanInt8:
-		return s.topKQuant(ctx, zp, k, parallelism, skip)
-	case gallery.ScanFloat32:
-		return s.topKF32(ctx, zp, k, parallelism, skip)
-	default:
-		return s.topKExact(ctx, zp, k, parallelism, skip)
+	return s.sweep(ctx, zps, k, parallelism, skip)
+}
+
+// sweep is the linear scan at the store's precision. Float64 scores
+// every record with the exact linalg.Dot(fp, zp)/F expression the
+// single-file gallery and match.SimilarityMatrix use. Float32 scans a
+// float32 image of the blocked layout (half the memory traffic) to
+// select rescoreDepth(k) candidates per probe, which rescore exactly —
+// so returned scores are bit-identical either way, and the selection
+// itself is deterministic (float32 scores are exact IEEE results,
+// ranked under a strict total order).
+func (s *Store) sweep(ctx context.Context, zps [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
+	inv := 1 / float64(s.features)
+	if s.prec == gallery.ScanFloat64 {
+		return gallery.SweepRanges(ctx, parallelism, s.units, zps, inv, skip, k, gallery.OutranksByID)
 	}
-}
-
-// serialScan reports whether the sweep should bypass the worker
-// fan-out: with one worker the per-unit partial rankings and the
-// tournament merge buy nothing, while a shared ranker set carries the
-// selection threshold across units.
-func serialScan(parallelism int) bool {
-	return parallel.Workers(parallelism) <= 1
-}
-
-// forUnits runs fn over every scan unit (one unit per chunk, workers
-// claim units dynamically) and returns the per-unit results in unit
-// order, or the context error.
-func forUnits[T any](ctx context.Context, s *Store, parallelism int, fn func(u scanUnit) T) ([]T, error) {
-	partials := make([]T, len(s.units))
-	err := parallel.ForCtx(ctx, parallelism, len(s.units), 1, func(ulo, uhi int) error {
-		for u := ulo; u < uhi; u++ {
-			partials[u] = fn(s.units[u])
+	zp32s := make([][]float32, len(zps))
+	for p, zp := range zps {
+		zp32s[p] = gallery.ToF32(zp)
+	}
+	pools, err := gallery.SweepRanges(ctx, parallelism, s.units, zp32s, inv, skip, rescoreDepth(k, s.total), gallery.OutranksByID)
+	if err != nil {
+		return nil, err
+	}
+	err = parallel.ForCtx(ctx, parallelism, len(pools), 1, func(lo, hi int) error {
+		for p := lo; p < hi; p++ {
+			pools[p] = s.rescore(pools[p], zps[p], k)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return partials, nil
+	return pools, nil
 }
 
-// newRankers returns n independent bounded rankers of capacity k under
-// the shard tiebreak order, as values in one allocation.
-func newRankers(n, k int) []gallery.Ranker {
-	rs := make([]gallery.Ranker, n)
-	for i := range rs {
-		rs[i] = *gallery.NewRanker(k, better)
-	}
-	return rs
-}
-
-// rankedAll finalizes a ranker set into one ranked list per ranker.
-func rankedAll(rs []gallery.Ranker) [][]gallery.Candidate {
-	out := make([][]gallery.Candidate, len(rs))
-	for i := range rs {
-		out[i] = rs[i].Ranked()
-	}
-	return out
-}
-
-// topKExact is the full-precision sweep: every record is scored through
-// the blocked 4-lane kernel with the identical linalg.Dot(fp, zp)/F
-// expression (bit for bit) the single-file gallery and
-// match.SimilarityMatrix use, selected by bounded heap — one shared
-// heap in the serial path, per-unit heaps merged by tournament under
-// workers.
-func (s *Store) topKExact(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
-	inv := 1 / float64(s.features)
-	if serialScan(parallelism) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := gallery.NewRanker(k, better)
-		dots := make([]float64, scanStripeRecords)
-		for _, u := range s.units {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s.scanUnitExactInto(u, zp, inv, r, dots, skip)
-		}
-		return r.Ranked(), nil
-	}
-	partials, err := forUnits(ctx, s, parallelism, func(u scanUnit) []gallery.Candidate {
-		r := gallery.NewRanker(k, better)
-		s.scanUnitExactInto(u, zp, inv, r, make([]float64, scanStripeRecords), skip)
-		return r.Ranked()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return gallery.RankMergeLists(partials, k, better), nil
-}
-
-// scanUnitExactInto scores one unit against one probe, offering every
-// threshold-passing record to r. dots is caller scratch of at least
-// scanStripeRecords float64s; passing the same r and dots across units
-// (the serial path) carries the selection threshold from unit to unit,
-// so later units reject almost every record in O(1). Subject IDs are
-// materialized only for candidates that pass the score threshold,
-// keeping string bookkeeping off the hot loop.
-func (s *Store) scanUnitExactInto(u scanUnit, zp []float64, inv float64, r *gallery.Ranker, dots []float64, skip []bool) {
-	g := s.galleries[u.si]
-	bk := g.Blocked()
-	base := s.bases[u.si]
-	for slo := u.lo; slo < u.hi; slo += scanStripeRecords {
-		shi := min(slo+scanStripeRecords, u.hi)
-		d := dots[:lanesUp(shi-slo)]
-		clear(d)
-		bk.DotsF64(slo, shi, zp, d)
-		thr, full := r.Threshold()
-		for i := slo; i < shi; i++ {
-			if skip != nil && skip[base+i] {
-				continue
-			}
-			sc := d[i-slo] * inv
-			if full && sc < thr.Score {
-				continue
-			}
-			c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(c, thr) {
-				continue
-			}
-			r.Offer(c)
-			thr, full = r.Threshold()
-		}
-	}
-}
-
-// topKF32 is the reduced-precision sweep: a float32 scan of the blocked
-// layout (half the memory traffic of exact) selects rescoreDepth(k)
-// candidates, which are rescored with the exact float64 expression and
-// re-ranked — so returned scores are bit-identical to the exact path,
-// and only candidate SELECTION sees float32 arithmetic. The selection
-// itself is deterministic (float32 scores are exact IEEE results,
-// ranked under a strict total order), so the pool — and therefore the
-// final ranking — is still independent of parallelism and sharding.
-func (s *Store) topKF32(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
-	zp32 := gallery.ToF32(zp)
-	inv := 1 / float64(s.features)
-	depth := rescoreDepth(k, s.total)
-	if serialScan(parallelism) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := gallery.NewRanker(depth, better)
-		dots := make([]float32, scanStripeRecords)
-		for _, u := range s.units {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s.scanUnitF32Into(u, zp32, inv, r, dots, skip)
-		}
-		return s.rescore(r.Ranked(), zp, k), nil
-	}
-	partials, err := forUnits(ctx, s, parallelism, func(u scanUnit) []gallery.Candidate {
-		r := gallery.NewRanker(depth, better)
-		s.scanUnitF32Into(u, zp32, inv, r, make([]float32, scanStripeRecords), skip)
-		return r.Ranked()
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool := gallery.RankMergeLists(partials, depth, better)
-	return s.rescore(pool, zp, k), nil
-}
-
-// scanUnitF32Into scores one unit against one float32 probe, offering
-// every threshold-passing record to r (a depth-bounded heap). dots is
-// caller scratch of at least scanStripeRecords float32s.
-func (s *Store) scanUnitF32Into(u scanUnit, zp32 []float32, inv float64, r *gallery.Ranker, dots []float32, skip []bool) {
-	g := s.galleries[u.si]
-	bk := g.Blocked()
-	base := s.bases[u.si]
-	for slo := u.lo; slo < u.hi; slo += scanStripeRecords {
-		shi := min(slo+scanStripeRecords, u.hi)
-		d := dots[:lanesUp(shi-slo)]
-		clear(d)
-		bk.DotsF32(slo, shi, zp32, d)
-		thr, full := r.Threshold()
-		for i := slo; i < shi; i++ {
-			if skip != nil && skip[base+i] {
-				continue
-			}
-			sc := float64(d[i-slo]) * inv
-			if full && sc < thr.Score {
-				continue
-			}
-			c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(c, thr) {
-				continue
-			}
-			r.Offer(c)
-			thr, full = r.Threshold()
-		}
-	}
-}
-
-// rescore replaces each pool candidate's (approximate) score with the
-// exact float64 expression and returns the top k of the pool under the
-// exact scores. The pool came from a deterministic approximate
-// selection, so the result is deterministic too.
+// rescore replaces each pool candidate's reduced-precision score with
+// the exact float64 expression and returns the top k of the pool under
+// the exact scores — the one place every float32 path (linear and IVF)
+// restores exact scores. The pool came from a deterministic selection,
+// so the result is deterministic too.
 func (s *Store) rescore(pool []gallery.Candidate, zp []float64, k int) []gallery.Candidate {
 	inv := 1 / float64(s.features)
-	r := gallery.NewRanker(min(k, len(pool)), better)
+	r := gallery.NewRanker(min(k, len(pool)), gallery.OutranksByID)
 	for _, c := range pool {
 		c.Score = linalg.Dot(s.Fingerprint(c.Index), zp) * inv
 		r.Offer(c)
 	}
 	return r.Ranked()
-}
-
-// topKQuant is the int8 two-phase sweep (see quant.go for the scheme):
-// the approximate scan walks per-shard units like the exact path — no
-// per-record locate() — then rescores exactly.
-func (s *Store) topKQuant(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
-	scaled, offsetDot, pnorm := s.quant.probeQuantTerms(zp)
-	depth := rescoreDepth(k, s.total)
-	if serialScan(parallelism) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := gallery.NewRanker(depth, better)
-		for _, u := range s.units {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s.scanUnitQuantInto(u, scaled, offsetDot, pnorm, r, skip)
-		}
-		return s.rescore(r.Ranked(), zp, k), nil
-	}
-	partials, err := forUnits(ctx, s, parallelism, func(u scanUnit) []gallery.Candidate {
-		r := gallery.NewRanker(depth, better)
-		s.scanUnitQuantInto(u, scaled, offsetDot, pnorm, r, skip)
-		return r.Ranked()
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool := gallery.RankMergeLists(partials, depth, better)
-	return s.rescore(pool, zp, k), nil
-}
-
-// scanUnitQuantInto scores one unit's int8 vectors against the
-// precomputed probe terms, offering every threshold-passing record to
-// r (a depth-bounded heap of approximate cosines).
-func (s *Store) scanUnitQuantInto(u scanUnit, scaled []float64, offsetDot, pnorm float64, r *gallery.Ranker, skip []bool) {
-	g := s.galleries[u.si]
-	base := s.bases[u.si]
-	qv, qn := s.qvecs[u.si], s.qnorms[u.si]
-	thr, full := r.Threshold()
-	for i := u.lo; i < u.hi; i++ {
-		if skip != nil && skip[base+i] {
-			continue
-		}
-		sc := approxScore(qv[i*s.features:(i+1)*s.features], scaled, offsetDot, qn[i], pnorm)
-		if full && sc < thr.Score {
-			continue
-		}
-		c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-		if full && !better(c, thr) {
-			continue
-		}
-		r.Offer(c)
-		thr, full = r.Threshold()
-	}
-}
-
-// queryAllZMasked is the batch dispatcher over z-scored gallery-space
-// probes: the exact and float32 paths scan each unit once for the whole
-// batch through the probe-tiled kernels (one pass over the records per
-// probe pair instead of one pass per probe); the int8 path fans out
-// per probe, whose precomputed probe terms don't batch.
-func (s *Store) queryAllZMasked(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
-	if s.ann != nil && s.nprobe > 0 {
-		return s.queryAllANN(ctx, zcols, k, parallelism, skip)
-	}
-	switch s.prec {
-	case gallery.ScanInt8:
-		out := make([][]gallery.Candidate, len(zcols))
-		err := parallel.ForCtx(ctx, parallelism, len(zcols), 1, func(lo, hi int) error {
-			for j := lo; j < hi; j++ {
-				top, err := s.topKQuant(ctx, zcols[j], k, 1, skip)
-				if err != nil {
-					return err
-				}
-				out[j] = top
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	case gallery.ScanFloat32:
-		return s.queryAllF32(ctx, zcols, k, parallelism, skip)
-	default:
-		return s.queryAllExact(ctx, zcols, k, parallelism, skip)
-	}
-}
-
-// queryAllExact is the batched full-precision sweep: each unit streams
-// once through the probe-tiled batch kernel for every probe. Serial,
-// the whole sweep shares one ranker per probe and one dot buffer;
-// under workers, per-probe unit rankings merge by tournament.
-func (s *Store) queryAllExact(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
-	inv := 1 / float64(s.features)
-	if serialScan(parallelism) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rankers := newRankers(len(zcols), k)
-		outs := make([][]float64, len(zcols))
-		buf := make([]float64, len(zcols)*scanBatchRecords)
-		for _, u := range s.units {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s.scanUnitExactBatchInto(u, zcols, inv, rankers, outs, buf, skip)
-		}
-		return rankedAll(rankers), nil
-	}
-	partials, err := forUnits(ctx, s, parallelism, func(u scanUnit) [][]gallery.Candidate {
-		rankers := newRankers(len(zcols), k)
-		outs := make([][]float64, len(zcols))
-		buf := make([]float64, len(zcols)*min(scanBatchRecords, lanesUp(u.hi-u.lo)))
-		s.scanUnitExactBatchInto(u, zcols, inv, rankers, outs, buf, skip)
-		return rankedAll(rankers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeBatch(partials, len(zcols), k), nil
-}
-
-// scanUnitExactBatchInto scores one unit against every probe, offering
-// threshold-passers to the per-probe rankers. outs (len(zps) slice
-// headers) and buf (len(zps)*scanBatchRecords float64s, or enough for
-// this unit's stripe) are caller scratch, reusable across units.
-func (s *Store) scanUnitExactBatchInto(u scanUnit, zps [][]float64, inv float64, rankers []gallery.Ranker, outs [][]float64, buf []float64, skip []bool) {
-	g := s.galleries[u.si]
-	bk := g.Blocked()
-	base := s.bases[u.si]
-	stripe := min(scanBatchRecords, lanesUp(u.hi-u.lo))
-	for p := range outs {
-		outs[p] = buf[p*stripe : (p+1)*stripe]
-	}
-	for slo := u.lo; slo < u.hi; slo += stripe {
-		shi := min(slo+stripe, u.hi)
-		nd := lanesUp(shi - slo)
-		for p := range outs {
-			clear(outs[p][:nd])
-		}
-		bk.DotsF64Batch(slo, shi, zps, outs)
-		for p := range rankers {
-			r := &rankers[p]
-			d := outs[p]
-			thr, full := r.Threshold()
-			for i := slo; i < shi; i++ {
-				if skip != nil && skip[base+i] {
-					continue
-				}
-				sc := d[i-slo] * inv
-				if full && sc < thr.Score {
-					continue
-				}
-				c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-				if full && !better(c, thr) {
-					continue
-				}
-				r.Offer(c)
-				thr, full = r.Threshold()
-			}
-		}
-	}
-}
-
-// queryAllF32 is the batched reduced-precision sweep: a float32 batch
-// scan selects a rescoreDepth(k) pool per probe, then each pool is
-// rescored exactly.
-func (s *Store) queryAllF32(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
-	inv := 1 / float64(s.features)
-	depth := rescoreDepth(k, s.total)
-	zp32s := make([][]float32, len(zcols))
-	for p, zp := range zcols {
-		zp32s[p] = gallery.ToF32(zp)
-	}
-	if serialScan(parallelism) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rankers := newRankers(len(zcols), depth)
-		outs := make([][]float32, len(zcols))
-		buf := make([]float32, len(zcols)*scanBatchRecords)
-		for _, u := range s.units {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s.scanUnitF32BatchInto(u, zp32s, inv, rankers, outs, buf, skip)
-		}
-		out := make([][]gallery.Candidate, len(zcols))
-		for j := range rankers {
-			out[j] = s.rescore(rankers[j].Ranked(), zcols[j], k)
-		}
-		return out, nil
-	}
-	partials, err := forUnits(ctx, s, parallelism, func(u scanUnit) [][]gallery.Candidate {
-		rankers := newRankers(len(zp32s), depth)
-		outs := make([][]float32, len(zp32s))
-		buf := make([]float32, len(zp32s)*min(scanBatchRecords, lanesUp(u.hi-u.lo)))
-		s.scanUnitF32BatchInto(u, zp32s, inv, rankers, outs, buf, skip)
-		return rankedAll(rankers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	pools := mergeBatch(partials, len(zcols), depth)
-	out := make([][]gallery.Candidate, len(zcols))
-	err = parallel.ForCtx(ctx, parallelism, len(zcols), 1, func(lo, hi int) error {
-		for j := lo; j < hi; j++ {
-			out[j] = s.rescore(pools[j], zcols[j], k)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scanUnitF32BatchInto scores one unit against every float32 probe,
-// offering threshold-passers to the per-probe depth-bounded rankers.
-// outs and buf are caller scratch, reusable across units.
-func (s *Store) scanUnitF32BatchInto(u scanUnit, zp32s [][]float32, inv float64, rankers []gallery.Ranker, outs [][]float32, buf []float32, skip []bool) {
-	g := s.galleries[u.si]
-	bk := g.Blocked()
-	base := s.bases[u.si]
-	stripe := min(scanBatchRecords, lanesUp(u.hi-u.lo))
-	for p := range outs {
-		outs[p] = buf[p*stripe : (p+1)*stripe]
-	}
-	for slo := u.lo; slo < u.hi; slo += stripe {
-		shi := min(slo+stripe, u.hi)
-		nd := lanesUp(shi - slo)
-		for p := range outs {
-			clear(outs[p][:nd])
-		}
-		bk.DotsF32Batch(slo, shi, zp32s, outs)
-		for p := range rankers {
-			r := &rankers[p]
-			d := outs[p]
-			thr, full := r.Threshold()
-			for i := slo; i < shi; i++ {
-				if skip != nil && skip[base+i] {
-					continue
-				}
-				sc := float64(d[i-slo]) * inv
-				if full && sc < thr.Score {
-					continue
-				}
-				c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-				if full && !better(c, thr) {
-					continue
-				}
-				r.Offer(c)
-				thr, full = r.Threshold()
-			}
-		}
-	}
-}
-
-// mergeBatch tournament-merges per-unit, per-probe rankings into one
-// bounded list per probe.
-func mergeBatch(partials [][][]gallery.Candidate, probes, k int) [][]gallery.Candidate {
-	out := make([][]gallery.Candidate, probes)
-	lists := make([][]gallery.Candidate, len(partials))
-	for p := 0; p < probes; p++ {
-		for u := range partials {
-			lists[u] = partials[u][p]
-		}
-		out[p] = gallery.RankMergeLists(lists, k, better)
-	}
-	return out
-}
-
-// lanesUp rounds a record count up to whole lane blocks.
-func lanesUp(n int) int {
-	return (n + gallery.ScanLanes - 1) / gallery.ScanLanes * gallery.ScanLanes
 }

@@ -722,7 +722,6 @@ func writeMutationError(w http.ResponseWriter, err error) {
 type shardedEngine interface {
 	Shards() int
 	LoadedShards() int
-	Quantized() bool
 }
 
 // defendedEngine is the optional anonymization surface a defended
@@ -758,7 +757,6 @@ func (s *Server) handleGallery(w http.ResponseWriter, r *http.Request) {
 	if sh, ok := g.(shardedEngine); ok {
 		resp["shards"] = sh.Shards()
 		resp["loaded_shards"] = sh.LoadedShards()
-		resp["quantized"] = sh.Quantized()
 	}
 	if ps, ok := g.(gallery.PrecisionSetter); ok {
 		resp["scan_precision"] = ps.Precision().String()
