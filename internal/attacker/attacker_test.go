@@ -377,10 +377,13 @@ func TestRunExperimentPreCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// Synthesize the cohorts before the clock starts: only the abort
+	// itself counts against the bound.
+	in := Input{HCP: smallHCP(t), ADHD: smallADHD(t), Trials: 50}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := a.RunExperiment(ctx, "table2", Input{HCP: smallHCP(t), ADHD: smallADHD(t), Trials: 50}); !errors.Is(err, context.Canceled) {
+	if _, err := a.RunExperiment(ctx, "table2", in); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled RunExperiment: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {

@@ -244,8 +244,9 @@ func Find(name string) (Experiment, bool) {
 
 // RunExperiment runs one registered experiment by name under the
 // session's configuration and deadline. Unknown names list the valid
-// ones; a cancelled context aborts the sweep between grid cells and
-// surfaces ctx.Err().
+// ones; an already-cancelled context returns ctx.Err() before any work
+// starts, and one cancelled mid-run aborts the sweep between grid cells
+// and surfaces ctx.Err().
 func (a *Attacker) RunExperiment(ctx context.Context, name string, in Input) (Result, error) {
 	e, ok := Find(name)
 	if !ok {
@@ -253,5 +254,8 @@ func (a *Attacker) RunExperiment(ctx context.Context, name string, in Input) (Re
 	}
 	ctx, cancel := a.deadline(ctx)
 	defer cancel()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return e.Run(ctx, a, in)
 }

@@ -16,22 +16,30 @@ import (
 //	tile 1: [block 0: f512·{r0 r1 r2 r3} …] …
 //
 // so a scan streams cache lines strictly sequentially within each
-// tile, scores four subjects per feature load with four independent
-// accumulator chains (manual 4-way unrolling the compiler keeps in
-// registers), and — in the batched kernels — amortizes each streamed
-// cache line over a tile of four probes. The feature tiling bounds the
-// probe-side working set of a pass: even at connectome-scale
-// dimensionality the probe tile (4 probes × scanTileF × 8 B = 16 KiB)
-// stays L1-resident while the record stream comes from RAM exactly
-// once.
+// tile and scores four subjects per feature load with one independent
+// accumulator chain each. The single-probe kernels (DotsF64, DotsF32)
+// dispatch at init: on amd64 hosts with AVX2 and OS-enabled YMM state
+// an assembly kernel (kernels_amd64.s) holds one record per vector lane
+// and four lane blocks in flight; everywhere else, and for the records
+// not covered by a whole four-block group, the pure-Go loops
+// (dotsF64Go, dotsF32Go) run. The batched kernels stay pure Go and
+// amortize each streamed cache line over two probes. The feature
+// tiling bounds the probe-side working set of a pass: even at
+// connectome-scale dimensionality the probe tile (4 probes × scanTileF
+// × 8 B = 16 KiB) stays L1-resident while the record stream comes from
+// RAM exactly once.
 //
 // Bit-exactness: each record's dot product still accumulates features
 // strictly in ascending order — lanes interleave *records*, never the
 // summation order within one record — and tile boundaries only park
 // the partial sum in a float64 buffer between passes, which cannot
-// change its bits. A blocked scan therefore returns scores
+// change its bits. The assembly kernels keep this: each vector lane is
+// one record running the scalar chain acc = acc + d·p as a separate
+// multiply and add (never a fused multiply-add, which rounds once
+// instead of twice). A blocked scan therefore returns scores
 // bit-identical to linalg.Dot over the flat layout (the equivalence
-// tests pin this at every cohort size, shard count, and parallelism).
+// tests pin this at every cohort size, shard count, and parallelism;
+// kernels_test.go pins the assembly against the Go loops).
 
 // ScanLanes is the record interleave width of the blocked scan layout:
 // kernels score this many subjects per feature load, with one
@@ -196,8 +204,19 @@ func alignLanes(n int) int {
 // entries. lo must be a multiple of ScanLanes; hi is rounded up
 // internally (padded lanes accumulate 0). Per record the features are
 // consumed strictly in ascending order across tiles, so out[i-lo]
-// finishes bit-identical to linalg.Dot(record i, zp).
+// finishes bit-identical to linalg.Dot(record i, zp) — on the assembly
+// path too, whose vector lanes each run that same scalar chain.
 func (bk *Blocked) DotsF64(lo, hi int, zp []float64, out []float64) {
+	done := dotsF64SIMD(bk, lo, hi, zp, out)
+	if lo+done < hi {
+		bk.dotsF64Go(lo+done, hi, zp, out[done:])
+	}
+}
+
+// dotsF64Go is the pure-Go single-probe kernel: the fallback on hosts
+// without the assembly kernel, the tail past its last whole group, and
+// the reference the kernel equivalence tests compare it to.
+func (bk *Blocked) dotsF64Go(lo, hi int, zp []float64, out []float64) {
 	hi = alignLanes(hi)
 	for tlo := 0; tlo < bk.features; tlo += scanTileF {
 		w := bk.tileWidth(tlo)
@@ -222,28 +241,6 @@ func (bk *Blocked) DotsF64(lo, hi int, zp []float64, out []float64) {
 			out[o+3] = a3
 		}
 	}
-}
-
-// DotF64 returns the float64 dot product of record i against the
-// probe. Features are consumed strictly in ascending order across
-// tiles with one accumulator, so the result is bit-identical to
-// linalg.Dot(record i, zp) — it is the single-record accessor the IVF
-// posting-list scan uses, where candidates are too sparse for the
-// striped kernels.
-func (bk *Blocked) DotF64(i int, zp []float64) float64 {
-	b, l := i/ScanLanes, i%ScanLanes
-	var acc float64
-	for tlo := 0; tlo < bk.features; tlo += scanTileF {
-		w := bk.tileWidth(tlo)
-		base := bk.tileBase(tlo) + b*w*ScanLanes + l
-		d := bk.f64[base : base+(w-1)*ScanLanes+1]
-		j := 0
-		for _, p := range zp[tlo : tlo+w] {
-			acc += d[j] * p
-			j += ScanLanes
-		}
-	}
-	return acc
 }
 
 // DotF32 is the reduced-precision single-record accessor: the float32
@@ -332,8 +329,18 @@ func (bk *Blocked) dotsF64x2(lo, hi int, zp0, zp1 []float64, o0, o1 []float64) {
 // float32 dot products of [lo, hi) against a float32 probe into out.
 // Same alignment and zeroing rules as DotsF64. EnsureF32 must have
 // been called. The results are approximate — callers use them only to
-// select rescore candidates, never as returned scores.
+// select rescore candidates, never as returned scores. The assembly
+// and pure-Go paths still agree bit for bit.
 func (bk *Blocked) DotsF32(lo, hi int, zp []float32, out []float32) {
+	done := dotsF32SIMD(bk, lo, hi, zp, out)
+	if lo+done < hi {
+		bk.dotsF32Go(lo+done, hi, zp, out[done:])
+	}
+}
+
+// dotsF32Go is the pure-Go float32 single-probe kernel, in the roles
+// dotsF64Go plays for DotsF64.
+func (bk *Blocked) dotsF32Go(lo, hi int, zp []float32, out []float32) {
 	hi = alignLanes(hi)
 	for tlo := 0; tlo < bk.features; tlo += scanTileF {
 		w := bk.tileWidth(tlo)

@@ -9,6 +9,9 @@ import (
 // BenchmarkBlockedKernels pins the raw throughput of the blocked scan
 // kernels against the scalar linalg.Dot sweep they replaced, on a
 // cache-resident cohort — the numbers future kernel PRs should diff.
+// The -go lanes run the pure-Go single-probe loops directly, so the
+// ratio to f64x1/f32x1 is the assembly kernels' gain on this host (1×
+// where the kernels dispatch to those same loops).
 func BenchmarkBlockedKernels(b *testing.B) {
 	const features, subjects, probes = 100, 4096, 8
 	known := randomGroup(77, features, subjects)
@@ -44,6 +47,14 @@ func BenchmarkBlockedKernels(b *testing.B) {
 			bk.DotsF64(0, subjects, zps[0], out)
 		}
 	})
+	b.Run("f64x1-go", func(b *testing.B) {
+		b.SetBytes(flops)
+		out := make([]float64, alignLanes(subjects))
+		for i := 0; i < b.N; i++ {
+			clear(out)
+			bk.dotsF64Go(0, subjects, zps[0], out)
+		}
+	})
 	b.Run("f64batch", func(b *testing.B) {
 		b.SetBytes(4 * flops)
 		outs := make([][]float64, 4)
@@ -63,6 +74,14 @@ func BenchmarkBlockedKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			clear(out)
 			bk.DotsF32(0, subjects, zp32s[0], out)
+		}
+	})
+	b.Run("f32x1-go", func(b *testing.B) {
+		b.SetBytes(flops)
+		out := make([]float32, alignLanes(subjects))
+		for i := 0; i < b.N; i++ {
+			clear(out)
+			bk.dotsF32Go(0, subjects, zp32s[0], out)
 		}
 	})
 	b.Run("f32batch", func(b *testing.B) {
