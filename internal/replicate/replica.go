@@ -453,11 +453,11 @@ func (r *Replica) bootstrap(ctx context.Context) (*live.Engine, int, error) {
 		return nil, 0, err
 	}
 	for _, f := range st.Files {
-		if err := r.fetchFile(ctx, f.Name, f.Size); err != nil {
+		if err := r.fetchFile(ctx, f.Name, f.Size, false); err != nil {
 			return nil, 0, err
 		}
 	}
-	if err := r.fetchFile(ctx, st.WAL, st.WALBytes); err != nil {
+	if err := r.fetchFile(ctx, st.WAL, st.WALBytes, true); err != nil {
 		return nil, 0, err
 	}
 	if err := writeUpstream(r.dir, st.Generation); err != nil {
@@ -537,8 +537,11 @@ func (r *Replica) fetchState(ctx context.Context) (State, error) {
 }
 
 // fetchFile downloads one generation file to the replica directory and
-// fsyncs it, verifying the byte count.
-func (r *Replica) fetchFile(ctx context.Context, name string, size int64) error {
+// fsyncs it, verifying the byte count. With prefix set the file is the
+// write-ahead log, which the primary keeps appending to after the state
+// document was read: only its first size bytes, the committed prefix
+// the state describes, are kept, and the tail streams the rest.
+func (r *Replica) fetchFile(ctx context.Context, name string, size int64, prefix bool) error {
 	if name != filepath.Base(name) {
 		return fmt.Errorf("%w: state names file %q outside the directory", ErrBadState, name)
 	}
@@ -558,7 +561,11 @@ func (r *Replica) fetchFile(ctx context.Context, name string, size int64) error 
 	if err != nil {
 		return err
 	}
-	n, err := io.Copy(f, io.LimitReader(resp.Body, size+1))
+	limit := size + 1 // one byte more shows a file longer than stated
+	if prefix {
+		limit = size
+	}
+	n, err := io.Copy(f, io.LimitReader(resp.Body, limit))
 	if err != nil {
 		f.Close()
 		return err

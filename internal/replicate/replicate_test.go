@@ -190,6 +190,41 @@ func TestReplicaBootstrapAndTail(t *testing.T) {
 	}
 }
 
+// TestReplicaBootstrapWhileWALGrows: the primary's log keeps growing
+// between the state document and the log download, as it does under
+// write load. The bootstrap must copy the committed prefix the state
+// describes and tail the rest, not reject the longer file.
+func TestReplicaBootstrapWhileWALGrows(t *testing.T) {
+	p := newPrimary(t, 6)
+	src := NewSource(p.eng)
+	src.Poll = 200 * time.Millisecond
+	rng := rand.New(rand.NewSource(45))
+	var mu sync.Mutex // handlers run on per-connection goroutines
+	enrolls := 0
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+PathState, func(w http.ResponseWriter, r *http.Request) {
+		src.ServeState(w, r)
+		mu.Lock()
+		defer mu.Unlock()
+		enrolls++
+		if err := p.eng.Enroll(fmt.Sprintf("after-state-%d", enrolls), randVec(rng)); err != nil {
+			t.Errorf("Enroll: %v", err)
+		}
+	})
+	mux.HandleFunc("GET "+PathFile, src.ServeFile)
+	mux.HandleFunc("GET "+PathWAL, func(w http.ResponseWriter, r *http.Request) { src.ServeWAL(w, r, nil) })
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	rep, err := Start(srv.URL, filepath.Join(t.TempDir(), "replica"), fastOptions())
+	if err != nil {
+		t.Fatalf("Start with a log growing under the bootstrap: %v", err)
+	}
+	defer rep.Close()
+	waitCaughtUp(t, rep, p)
+	assertEquivalent(t, rep, p)
+}
+
 func TestReplicaAcrossCompaction(t *testing.T) {
 	p := newPrimary(t, 8)
 	rep := startReplica(t, p, "")
